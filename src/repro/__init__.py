@@ -55,7 +55,7 @@ from repro.errors import (
     SimulationError,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.0.1"
 
 __all__ = [
     "__version__",

@@ -461,6 +461,18 @@ def _warn_ignored_scheme_flag(args: argparse.Namespace) -> None:
           f"{', '.join(_SCHEME_EXPERIMENTS)})", file=sys.stderr)
 
 
+def _output_dir_missing(output: str | None) -> bool:
+    """Say so when ``output``'s directory does not exist — checked before
+    any experiment runs, not with a traceback after all of them."""
+    from pathlib import Path
+    parent = Path(output).parent if output else None
+    if parent is None or parent.is_dir():
+        return False
+    print(f"error: output directory {str(parent)!r} does not exist",
+          file=sys.stderr)
+    return True
+
+
 def _failure_exit_code(batch) -> int:
     """0 clean; 3 when every failure is in the fault/simulation family
     (so scripts can distinguish 'the scenario broke the run' from an
@@ -475,8 +487,9 @@ def _failure_exit_code(batch) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """The ``run`` subcommand: exit 0 on success, 1 on experiment
-    failure, 2 for an unknown experiment id, 3 for fault/simulation
-    errors (a bad ``--faults`` spec included)."""
+    failure, 2 for an unknown experiment id or a missing ``--output``
+    directory, 3 for fault/simulation errors (a bad ``--faults`` spec
+    included)."""
     from contextlib import nullcontext
 
     from repro.batch import ResultCache, default_cache_dir, run_batch
@@ -526,6 +539,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # FaultSpecError, which main() maps to exit code 3.
         from repro.faults.spec import parse_faults
         parse_faults(args.faults)
+    if _output_dir_missing(args.output):
+        return 2
 
     try:
         trace_writer = JsonlTraceWriter(args.trace) if args.trace else None
@@ -1154,6 +1169,8 @@ def _dispatch(parser: argparse.ArgumentParser,
         return _cmd_stream(args)
 
     if args.command == "report":
+        if _output_dir_missing(args.output):
+            return 2
         from repro.batch import ResultCache, default_cache_dir, run_batch
         experiment_ids = list_experiments()
         kwargs_by_id = {}

@@ -28,7 +28,7 @@ from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.experiments.base import (ExperimentResult, ShardSpec, register,
                                     run_sharded)
 from repro.experiments.variance_trials import trial_shards
-from repro.sampling.equal_mean import equal_mean_pair
+from repro.sampling.equal_mean import equal_mean_pairs
 
 __all__ = ["run_majorization_study", "run_majorization_shard"]
 
@@ -40,12 +40,8 @@ def run_majorization_shard(*, n: int, strategy: str, chunk_trials: int,
                            params: ModelParams) -> dict:
     """Score one chunk of §4.3 pairs (picklable worker entry point)."""
     rng = np.random.default_rng(seed_seq)
-    profiles_a = np.empty((chunk_trials, n))
-    profiles_b = np.empty((chunk_trials, n))
-    for t in range(chunk_trials):
-        p1, p2 = equal_mean_pair(rng, n, strategy=strategy)
-        profiles_a[t] = p1.rho
-        profiles_b[t] = p2.rho
+    profiles_a, profiles_b = equal_mean_pairs(rng, chunk_trials, n,
+                                              strategy=strategy)
 
     # Columnar scoring: X, variances and the majorization calls each
     # reduce one ProfileBatch per side — count-identical to the scalar

@@ -39,7 +39,7 @@ from repro.errors import ExperimentError
 from repro.experiments.base import (ExperimentResult, ShardSpec, register,
                                     run_sharded)
 from repro.predictors.variance import MOMENT_PREDICTORS
-from repro.sampling.equal_mean import equal_mean_pair
+from repro.sampling.equal_mean import equal_mean_pairs
 
 __all__ = ["run_variance_trials", "TrialBatch", "collect_trials",
            "trial_shards", "run_trial_shard", "merge_trial_batches",
@@ -114,19 +114,13 @@ def collect_trials(rng: np.random.Generator, n: int, n_trials: int,
                    ) -> TrialBatch:
     """Run ``n_trials`` §4.3 trials at cluster size ``n``, vectorised.
 
-    Pairs whose variances tie exactly (measure-zero) are regenerated.
+    One :func:`~repro.sampling.equal_mean.equal_mean_pairs` call draws
+    every pair (exact variance ties are redrawn there).
     """
     if n_trials < 1:
         raise ExperimentError(f"n_trials must be >= 1, got {n_trials}")
-    profiles_a = np.empty((n_trials, n))
-    profiles_b = np.empty((n_trials, n))
-    for t in range(n_trials):
-        while True:
-            p1, p2 = equal_mean_pair(rng, n, strategy=strategy)
-            if p1.variance != p2.variance:
-                break
-        profiles_a[t] = p1.rho
-        profiles_b[t] = p2.rho
+    profiles_a, profiles_b = equal_mean_pairs(rng, n_trials, n,
+                                              strategy=strategy)
 
     # One columnar pass per side: X, HECR, variances and every moment
     # predictor reduce the same ProfileBatch — each bit-identical (HECR:

@@ -1,6 +1,7 @@
 """Random-profile samplers and the §4.3 equal-mean pair generators."""
 
-from repro.sampling.equal_mean import equal_mean_pair, mean_preserving_spread
+from repro.sampling.equal_mean import (equal_mean_pair, equal_mean_pairs,
+                                       mean_preserving_spread)
 from repro.sampling.scenarios import (
     SCENARIOS,
     aging_lab,
@@ -26,6 +27,7 @@ __all__ = [
     "two_point_profile",
     "PROFILE_SAMPLERS",
     "equal_mean_pair",
+    "equal_mean_pairs",
     "mean_preserving_spread",
     "SCENARIOS",
     "aging_lab",

@@ -9,6 +9,7 @@ from repro.core.measure import x_measure
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.sampling.equal_mean import equal_mean_pair, mean_preserving_spread
+from repro.sampling.generators import RHO_FLOOR
 
 
 @given(
@@ -63,3 +64,36 @@ def test_mean_preserving_spread_invariants(seed, n, steps, widen):
         assert out.var() >= values.var() - 1e-15
     else:
         assert out.var() <= values.var() + 1e-15
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       m=st.integers(min_value=1, max_value=12),
+       n=st.integers(min_value=2, max_value=24),
+       steps=st.integers(min_value=0, max_value=60),
+       widen=st.booleans(),
+       box=st.sampled_from([(RHO_FLOOR, 1.0), (0.05, 0.95), (0.3, 0.7)]))
+@settings(max_examples=100, deadline=None)
+def test_batch_spread_invariants(seed, m, n, steps, widen, box):
+    """Every row of an (m, n) spread keeps its sum and its box, moves its
+    variance the right way, and the input is left alone."""
+    low, high = box
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(low, high, (m, n))
+    before = values.copy()
+    out = mean_preserving_spread(rng, values, steps=steps, widen=widen,
+                                 low=low, high=high)
+    assert (values == before).all()
+    assert out.shape == (m, n)
+    np.testing.assert_allclose(out.sum(axis=1), values.sum(axis=1),
+                               rtol=0.0, atol=1e-12)
+    assert out.min() >= low - 1e-12 and out.max() <= high + 1e-12
+    if widen:
+        assert (out.var(axis=1) >= values.var(axis=1) - 1e-15).all()
+    else:
+        assert (out.var(axis=1) <= values.var(axis=1) + 1e-15).all()
+    one = mean_preserving_spread(np.random.default_rng(seed), values[0],
+                                 steps=steps, widen=widen, low=low, high=high)
+    first = mean_preserving_spread(np.random.default_rng(seed), values[:1],
+                                   steps=steps, widen=widen, low=low,
+                                   high=high)
+    assert (one == first[0]).all()

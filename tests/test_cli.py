@@ -70,6 +70,23 @@ class TestRun:
         assert target.exists()
         assert "wrote" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("experiment", ["table3", "all"])
+    def test_missing_output_directory_exit_code_2(self, capsys, tmp_path,
+                                                  monkeypatch, experiment):
+        from repro.experiments import base
+
+        def must_not_run():
+            raise AssertionError("experiment ran before the path check")
+        monkeypatch.setattr(base, "_REGISTRY", {"table3": must_not_run})
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["run", experiment, "--format", "csv", "--no-store",
+                     "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "does not exist" in captured.err
+        assert "Traceback" not in captured.err
+        assert not target.parent.exists()
+
 
 class TestRunObservability:
     def test_json_flag_is_format_shorthand(self, capsys):
@@ -208,6 +225,17 @@ class TestReport:
         assert main(["report", "--trials", "30", "--output", str(par),
                      "--no-cache", "--jobs", "2"]) == 0
         assert par.read_text() == seq.read_text()
+
+    def test_missing_output_directory_exit_code_2(self, capsys, tmp_path,
+                                                  monkeypatch):
+        from repro.experiments import base
+
+        def must_not_run():
+            raise AssertionError("experiment ran before the path check")
+        monkeypatch.setattr(base, "_REGISTRY", {"table3": must_not_run})
+        assert main(["report", "--no-cache",
+                     "--output", str(tmp_path / "missing" / "r.md")]) == 2
+        assert "does not exist" in capsys.readouterr().err
 
     def test_warmed_cache_round_trip(self, capsys, tmp_path, monkeypatch):
         from repro.experiments import base
